@@ -58,6 +58,8 @@ import time
 import traceback
 import warnings
 from contextlib import contextmanager
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import (
     Any,
     Callable,
@@ -106,6 +108,9 @@ _Output = Tuple[int, str, Dict[str, Any]]
 #: Progress callback: (trials done so far, total trials in this run).
 ProgressFn = Callable[[int, int], None]
 
+#: A trial's identity in the checkpoint store (see :func:`checkpoint_key`).
+_Key = Tuple[str, str, int, int, int]
+
 
 def canonical_params(params: Mapping[str, Any]) -> str:
     """The canonical JSON spelling of a cell's parameters.
@@ -119,19 +124,9 @@ def canonical_params(params: Mapping[str, Any]) -> str:
 
 def checkpoint_key(
     trial: str, params: Mapping[str, Any], master_seed: int, stream: int, seed: int
-) -> Tuple[str, str, int, int, int]:
+) -> _Key:
     """The identity of one trial in the checkpoint store."""
     return (trial, canonical_params(params), int(master_seed), int(stream), int(seed))
-
-
-def _record_key(record: Mapping[str, Any]) -> Tuple[str, str, int, int, int]:
-    return checkpoint_key(
-        record["trial"],
-        record["params"],
-        record["master_seed"],
-        record["stream"],
-        record["seed"],
-    )
 
 
 def _attach_fallbacks(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -240,6 +235,38 @@ def _worker_initializer(chaos_dict: Optional[Dict[str, Any]]) -> None:
         _chaos.initializer(chaos_dict)
 
 
+def _parse_line(line: bytes) -> Optional[Tuple[_Key, Dict[str, Any]]]:
+    """One store line as ``(identity, validated record)``; ``None`` if invalid."""
+    try:
+        record = checkpoint_record_from_dict(json.loads(line))
+        key = checkpoint_key(
+            record["trial"],
+            record["params"],
+            record["master_seed"],
+            record["stream"],
+            record["seed"],
+        )
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None
+    return key, record
+
+
+@dataclass
+class _FileIndex:
+    """What :class:`CheckpointStore` has consumed of one store file.
+
+    Only newline-terminated lines are consumed; ``offset`` is the byte just
+    past the last of them, so the next scan resumes there.
+    """
+
+    identity: Tuple[int, int]  # (st_dev, st_ino) of the file it describes
+    offset: int = 0
+    records: Dict[_Key, Dict[str, Any]] = field(default_factory=dict)
+    lines: int = 0  # non-blank consumed lines
+    skipped: int = 0  # invalid consumed lines
+    counted: int = 0  # invalid lines already on the skipped-lines metric
+
+
 class CheckpointStore:
     """Append-only JSONL store of finished sweep trials.
 
@@ -247,74 +274,110 @@ class CheckpointStore:
     unrelated sweeps sharing a directory never contend), one record per
     line in the :mod:`repro.sim.serialize` checkpoint schema.  Records are
     flushed as they are appended, which makes the store kill-safe: a
-    process death mid-write loses at most the torn final line, which
-    :meth:`load` skips — *visibly*: every skipped line counts toward the
-    ``sweep/checkpoint/skipped_lines`` metric and each load with damage
-    emits a single :class:`RuntimeWarning`.  Retried trials append
+    process death mid-write leaves at most one torn final line, which
+    :meth:`load` skips and :meth:`open_writer` terminates before the next
+    append, so it never swallows a later record.  Skips are *visible*:
+    every invalid line counts once toward the
+    ``sweep/checkpoint/skipped_lines`` metric, and the first damaged load
+    of each file emits a single :class:`RuntimeWarning`.  Retried trials append
     superseding records; :meth:`compact` rewrites a file down to the
     surviving record per trial identity.
+
+    The store indexes each file it reads: a later :meth:`load` parses only
+    the lines appended since the previous one, so a grid that loads its
+    file once per cell parses every line once, not once per cell.  The
+    index starts over when the file is replaced or shrinks.
     """
 
     def __init__(self, directory: str, *, metrics: Optional[MetricsRegistry] = None):
         self.directory = directory
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         os.makedirs(directory, exist_ok=True)
+        self._index: Dict[str, _FileIndex] = {}
 
     def path_for(self, trial: str, master_seed: int) -> str:
         """The JSONL file backing one ``(trial, master_seed)`` sweep."""
         safe = re.sub(r"[^A-Za-z0-9._-]", "_", trial)
         return os.path.join(self.directory, f"{safe}-s{int(master_seed)}.jsonl")
 
-    @staticmethod
     def _scan(
-        path: str,
-    ) -> Tuple[Dict[Tuple[str, str, int, int, int], Dict[str, Any]], int]:
-        """Parse one store file: surviving records by identity, skipped lines.
+        self, path: str
+    ) -> Tuple[_FileIndex, Mapping[_Key, Dict[str, Any]], int, int]:
+        """Bring one file's index up to date and read the whole file off it.
 
-        Later lines supersede earlier ones with the same identity (that is
-        how retries and ``resume=False`` re-runs append their updates), and
-        unparsable or structurally invalid lines are counted, not fatal.
+        Returns the index and the file's surviving records by identity, its
+        non-blank lines, and its invalid lines.  Later lines supersede
+        earlier ones with the same identity (that is how retries and
+        ``resume=False`` re-runs append their updates), and unparsable or
+        structurally invalid lines are counted, not fatal.  An unterminated
+        final line is parsed on every scan but never consumed: it may still
+        be half-written.  Raises :class:`FileNotFoundError` for a missing
+        file.
         """
-        records: Dict[Tuple[str, str, int, int, int], Dict[str, Any]] = {}
-        skipped = 0
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
+            stat = os.fstat(handle.fileno())
+            identity = (stat.st_dev, stat.st_ino)
+            entry = self._index.get(path)
+            if entry is None or entry.identity != identity or stat.st_size < entry.offset:
+                entry = self._index[path] = _FileIndex(identity)
+            handle.seek(entry.offset)
+            tail = b""
             for line in handle:
-                line = line.strip()
-                if not line:
+                if not line.endswith(b"\n"):
+                    tail = line
+                    break
+                entry.offset += len(line)
+                if not line.strip():
                     continue
-                try:
-                    record = checkpoint_record_from_dict(json.loads(line))
-                except (ValueError, KeyError, TypeError):
-                    skipped += 1
-                    continue
-                records[_record_key(record)] = record
-        return records, skipped
+                entry.lines += 1
+                parsed = _parse_line(line)
+                if parsed is None:
+                    entry.skipped += 1
+                else:
+                    entry.records[parsed[0]] = parsed[1]
+        records: Mapping[_Key, Dict[str, Any]] = entry.records
+        lines, skipped = entry.lines, entry.skipped
+        if tail.strip():
+            lines += 1
+            parsed = _parse_line(tail)
+            if parsed is None:
+                skipped += 1
+            else:
+                records = {**entry.records, parsed[0]: parsed[1]}
+        return entry, records, lines, skipped
 
-    def load(
-        self, trial: str, master_seed: int
-    ) -> Dict[Tuple[str, str, int, int, int], Dict[str, Any]]:
+    def load(self, trial: str, master_seed: int) -> Mapping[_Key, Dict[str, Any]]:
         """All valid records for one sweep, keyed by trial identity.
 
         Unparsable or structurally invalid lines (a torn tail write from a
         killed process, a foreign format version) are skipped, not fatal —
-        the corresponding trials simply re-run.  Skips are surfaced through
-        the ``sweep/checkpoint/skipped_lines`` counter and one warning per
-        damaged load, so silent corruption cannot masquerade as a short
-        sweep.
+        the corresponding trials simply re-run.  Each skipped line counts
+        once on the ``sweep/checkpoint/skipped_lines`` counter however often
+        the file is loaded, and the first damaged load of a file warns, so
+        silent corruption cannot masquerade as a short sweep.
+
+        The result is a read-only view of the store's index, valid until
+        the next :meth:`load` or :meth:`compact`.
         """
         path = self.path_for(trial, master_seed)
-        if not os.path.exists(path):
+        try:
+            entry, records, _, skipped = self._scan(path)
+        except FileNotFoundError:
+            self._index.pop(path, None)
             return {}
-        records, skipped = self._scan(path)
-        if skipped:
-            self.metrics.counter("sweep/checkpoint/skipped_lines").inc(skipped)
-            warnings.warn(
-                f"checkpoint store {path}: skipped {skipped} invalid line(s); "
-                "the affected trials will re-run (run compact() to drop them)",
-                RuntimeWarning,
-                stacklevel=2,
+        if skipped > entry.counted:
+            if not entry.counted:
+                warnings.warn(
+                    f"checkpoint store {path}: skipped {skipped} invalid line(s); "
+                    "the affected trials will re-run (run compact() to drop them)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            self.metrics.counter("sweep/checkpoint/skipped_lines").inc(
+                skipped - entry.counted
             )
-        return records
+            entry.counted = skipped
+        return MappingProxyType(records)
 
     def compact(self, trial: str, master_seed: int) -> Dict[str, int]:
         """Rewrite one sweep's file, dropping superseded and invalid lines.
@@ -325,25 +388,39 @@ class CheckpointStore:
         intact.  Returns ``{"kept", "dropped_superseded", "dropped_invalid"}``.
         """
         path = self.path_for(trial, master_seed)
-        if not os.path.exists(path):
+        try:
+            _, records, lines, skipped = self._scan(path)
+        except FileNotFoundError:
             return {"kept": 0, "dropped_superseded": 0, "dropped_invalid": 0}
-        records, skipped = self._scan(path)
-        with open(path, "r", encoding="utf-8") as handle:
-            total = sum(1 for line in handle if line.strip())
         temp_path = path + ".compact.tmp"
         with open(temp_path, "w", encoding="utf-8") as handle:
             for record in records.values():
                 self.append(handle, record)
         os.replace(temp_path, path)
+        del self._index[path]
         return {
             "kept": len(records),
-            "dropped_superseded": total - skipped - len(records),
+            "dropped_superseded": lines - skipped - len(records),
             "dropped_invalid": skipped,
         }
 
     def open_writer(self, trial: str, master_seed: int) -> IO[str]:
-        """An append-mode handle for one sweep's file."""
-        return open(self.path_for(trial, master_seed), "a", encoding="utf-8")
+        """An append-mode handle for one sweep's file.
+
+        A file left ending mid-line (a torn write) gets a newline first, so
+        the next record starts a line of its own instead of joining the
+        torn one.
+        """
+        path = self.path_for(trial, master_seed)
+        handle = open(path, "a", encoding="utf-8")
+        if handle.tell():
+            with open(path, "rb") as probe:
+                probe.seek(-1, os.SEEK_END)
+                torn = probe.read(1) != b"\n"
+            if torn:
+                handle.write("\n")
+                handle.flush()
+        return handle
 
     @staticmethod
     def append(handle: IO[str], record: Mapping[str, Any]) -> None:
@@ -633,23 +710,20 @@ class SweepRunner:
             )
         seeds = list(seed_sequence(master_seed, trials, stream=stream))
 
-        cached: Dict[Tuple[str, str, int, int, int], Dict[str, Any]] = {}
+        cached: Mapping[_Key, Dict[str, Any]] = {}
         if self.checkpoint is not None and self.resume:
             cached = self.checkpoint.load(trial_name, master_seed)
-            if self.retry_failures:
-                cached = {
-                    key: record
-                    for key, record in cached.items()
-                    if record["status"] == "ok"
-                }
+        # The cell's part of every trial key, spelled once: canonical_params
+        # is a json.dumps, the dominant cost of a cached resume if per seed.
+        cell_key = (trial_name, canonical_params(params), int(master_seed), int(stream))
 
         with self._cell_writer(trial_name, master_seed) as writer:
             slots: List[Optional[Dict[str, Any]]] = [None] * trials
             pending: List[_Task] = []
             for index, seed in enumerate(seeds):
-                record = cached.get(
-                    checkpoint_key(trial_name, params, master_seed, stream, seed)
-                )
+                record = cached.get(cell_key + (int(seed),))
+                if record is not None and self.retry_failures and record["status"] != "ok":
+                    record = None  # retry_failures re-runs cached failures
                 if record is not None:
                     slots[index] = record
                     self._note_done(cached=True, failed=record["status"] == "failed")

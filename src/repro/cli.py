@@ -25,6 +25,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
@@ -1097,10 +1098,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses across calls in one process.
+
+    Building one allocates a few thousand argparse objects tied up in
+    reference cycles; a caller that re-enters :func:`main` (a study
+    re-run against its checkpoint store, say) would otherwise pile that
+    garbage up between cyclic collections.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -611,10 +611,13 @@ def _sweep_runner_appendix() -> List[str]:
         "`(trial, params, master_seed, stream, seed)` with the params "
         "spelled canonically (sorted keys, type-faithful: `true`, `1`, and "
         "`1.0` never alias).  Records are flushed as written, so a killed "
-        "process loses at most the torn final line, which resume skips.",
+        "process loses at most the record it was writing: resume skips that "
+        "torn final line and writes its own first record on a fresh line, so "
+        "a later record is never lost to it.",
         "* **Resume.** Re-running the same sweep reuses every valid record "
         "and executes only what is missing; a completed sweep re-runs as a "
-        "pure cache hit that never forks a worker.  `resume=False` ignores "
+        "pure cache hit that never forks a worker and parses each store line "
+        "once, not once per cell.  `resume=False` ignores "
         "(but keeps) the store; `retry_failures=True` re-runs only the "
         "failed seeds.",
         "* **Failure records.** A raising trial never aborts the pool or "
