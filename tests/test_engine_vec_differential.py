@@ -40,7 +40,7 @@ from repro import solve
 from repro.baselines import Decay, SlottedAloha
 from repro.core import Reduce
 from repro.obs import RegistrySink
-from repro.protocols import ProgramProtocol, RoundProgram, StateRule, Transition
+from repro.protocols import ProgramProtocol
 from repro.sim import (
     CollisionDetection,
     Network,
@@ -50,7 +50,7 @@ from repro.sim import (
     staggered,
 )
 from repro.sim import vec
-from repro.sim.feedback import Feedback
+from tests.program_strategies import programs
 
 SEEDS = (0, 1, 2)
 
@@ -365,68 +365,15 @@ def test_counter_draws_match_reduce_survivors():
 
 # ------------------------------------------------ random-program fuzzing
 #
-# Random well-formed programs, bitwise-compared across backends via the
-# ProgramProtocol reference interpreter.  Probabilities come from a small
-# grid: the draw discipline makes equality exact, so any probability works,
-# but a coarse grid hits the 0/1 edges often.
-
-_PROBS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
-
-
-def _transitions(num_states):
-    return st.builds(
-        Transition,
-        next_state=st.one_of(st.none(), st.integers(0, num_states - 1)),
-        mark=st.sampled_from([None, "m1", "m2"]),
-        mark_node_id=st.booleans(),
-    )
-
-
-def _tables(num_states):
-    return st.fixed_dictionaries({f: _transitions(num_states) for f in Feedback})
-
-
-def _state_rules(num_states, schedule_length):
-    return st.builds(
-        StateRule,
-        channel=st.integers(1, 2),
-        probabilities=st.tuples(*[_PROBS] * schedule_length),
-        on_transmit=_tables(num_states),
-        on_listen=_tables(num_states),
-        on_idle=st.one_of(st.none(), _transitions(num_states)),
-        on_end=st.one_of(
-            st.none(),
-            st.builds(
-                Transition,
-                next_state=st.none(),
-                mark=st.sampled_from([None, "end"]),
-                mark_node_id=st.booleans(),
-            ),
-        ),
-        idle_instead_of_listen=st.booleans(),
-    )
-
-
-@st.composite
-def _programs(draw):
-    num_states = draw(st.integers(1, 3))
-    schedule_length = draw(st.integers(1, 3))
-    return RoundProgram(
-        name="fuzz",
-        schedule_length=schedule_length,
-        cycle=draw(st.booleans()),
-        states=tuple(
-            draw(_state_rules(num_states, schedule_length))
-            for _ in range(num_states)
-        ),
-        initial_state=draw(st.integers(0, num_states - 1)),
-    )
+# Random well-formed programs (``tests/program_strategies.py``),
+# bitwise-compared across backends via the ProgramProtocol reference
+# interpreter.
 
 
 @pytest.mark.filterwarnings("error::repro.sim.vec.VecFallbackWarning")
 @settings(max_examples=60, deadline=None)
 @given(
-    program=_programs(),
+    program=programs(),
     seed=st.integers(0, 1000),
     mode=st.sampled_from(MODES),
     stop_on_solve=st.booleans(),
